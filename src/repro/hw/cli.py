@@ -71,29 +71,34 @@ def add_observability_arguments(parser: argparse.ArgumentParser) -> None:
 def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--workers`` / ``--slo-class`` flags.
 
-    ``--workers 0`` (the default) selects in-process serving
+    Both servers are the one serving core over different executors:
+    ``--workers 0`` (the default) picks the in-process executor
     (:class:`~repro.serve.server.InferenceServer`); any positive count
-    selects the multi-process :class:`~repro.serve.fleet.FleetServer`
-    with that many engine worker replicas.  SLO class choices come from
-    the fleet's stock admission classes, imported lazily so plain
-    hardware CLIs never pay for the serving stack.
+    picks the worker-pool executor
+    (:class:`~repro.serve.fleet.FleetServer`) with that many engine
+    worker processes.  SLO class choices come from the core's stock
+    admission classes, imported lazily so plain hardware CLIs never
+    pay for the serving stack.
     """
-    from repro.serve.fleet import DEFAULT_SLO_CLASSES
+    from repro.serve.core import DEFAULT_SLO_CLASSES
 
     group = parser.add_argument_group(
-        "fleet", "multi-process serving (see repro.serve.fleet)"
+        "fleet", "serving executor: in process or a worker pool "
+                 "(see repro.serve.core)"
     )
     group.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="engine worker processes; 0 (default) serves in-process, "
-             "N >= 1 fans out to a FleetServer with N replicas",
+        help="engine worker processes; 0 (default) runs batches on the "
+             "dispatch thread (InferenceServer), N >= 1 on a pool of N "
+             "worker processes (FleetServer)",
     )
     group.add_argument(
         "--slo-class", choices=sorted(DEFAULT_SLO_CLASSES),
         default="default",
         help="admission class applied to generated requests: per-class "
-             "queue-depth limits and default deadlines (fleet only; "
-             "default: default)",
+             "queue-depth limits and default deadlines (--workers >= 1 "
+             "only; the in-process server has one class sized by "
+             "--queue-depth; default: default)",
     )
 
 

@@ -9,11 +9,12 @@ Examples::
     python -m repro.serve --open-loop --duration 2
     python -m repro.serve --workers 4 --open-loop --slo-class batch
 
-Spins up a serving stack over the reference model at the chosen design
-point — in-process (:class:`~repro.serve.server.InferenceServer`, the
-default) or a multi-process :class:`~repro.serve.fleet.FleetServer`
-with ``--workers N`` engine replicas — then drives it with a seeded
-request trace in one of two modes:
+Spins up the serving core over the reference model at the chosen
+design point — on the in-process executor
+(:class:`~repro.serve.server.InferenceServer`, the default) or on a
+pool of ``--workers N`` engine worker processes
+(:class:`~repro.serve.fleet.FleetServer`) — then drives it with a
+seeded request trace in one of two modes:
 
 * **closed loop** (default): ``--clients`` client threads, each
   waiting for its previous response before the next send, paced to an
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=512, metavar="N",
         help="in-flight bound before backpressure (default: 512; "
              "in-process server only — the fleet bounds depth per "
-             "SLO class)",
+             "--slo-class)",
     )
     add_fleet_arguments(parser)
     parser.add_argument(
@@ -167,11 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--chaos-spike-ms", type=float, default=0.0, metavar="MS",
-        help="injected pre-flush latency spike size",
+        help="injected pre-flush latency spike size (in-process server "
+             "only)",
     )
     resilience.add_argument(
         "--chaos-spike-p", type=float, default=0.0, metavar="P",
-        help="latency-spike probability per flush attempt",
+        help="latency-spike probability per flush attempt (in-process "
+             "server only)",
     )
     resilience.add_argument(
         "--chaos-seed", type=int, default=0,
@@ -289,6 +292,23 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be >= 0")
     if args.chaos_crash_p > 0 and args.workers < 1:
         parser.error("--chaos-crash-p needs --workers >= 1")
+    # A flag the chosen executor would ignore is an error, not a no-op.
+    if args.workers >= 1:
+        in_process_only = {
+            "--retries": args.retries > 0,
+            "--chaos-flush-p": args.chaos_flush_p > 0,
+            "--chaos-spike-ms": args.chaos_spike_ms > 0,
+            "--chaos-spike-p": args.chaos_spike_p > 0,
+            "--queue-depth": (args.queue_depth
+                              != parser.get_default("queue_depth")),
+        }
+        for flag, given in in_process_only.items():
+            if given:
+                parser.error(f"{flag} applies to the in-process server "
+                             "only (--workers 0)")
+    elif args.slo_class != "default":
+        parser.error("--slo-class needs --workers >= 1 (the in-process "
+                     "server has one class, sized by --queue-depth)")
 
     scope = ObservabilityScope(args)
     try:

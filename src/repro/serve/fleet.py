@@ -1,172 +1,38 @@
-"""The serving fleet: N engine worker processes behind one fabric.
+"""The serving fleet: N engine worker processes behind one serving core.
 
-:class:`FleetServer` is the multi-process sibling of
-:class:`~repro.serve.server.InferenceServer`: same client API
-(``submit`` / ``classify`` / context manager), same accounting
-invariant (``submitted == completed + failed + shed``), but every
-micro-batch flushes in one of N ``EngineWorker`` *processes* instead
-of the dispatch thread — so kernel work escapes the GIL and aggregate
-throughput scales with workers (``benchmarks/bench_serving.py``
+:class:`FleetServer` is the :class:`~repro.serve.core.ServingCore` —
+the same admission, batching, dispatch and accounting as
+:class:`~repro.serve.server.InferenceServer` — over a
+:class:`~repro.serve.pool.WorkerPoolExecutor`: every micro-batch
+flushes in one of N ``EngineWorker`` *processes* instead of on the
+dispatch thread, so kernel work escapes the GIL and aggregate
+throughput can scale with workers (``benchmarks/bench_serving.py``
 measures the curve).
 
-The moving parts and who owns what:
-
-* **fabric edge (client threads)** — :meth:`FleetServer.submit`
-  validates the model and spikes exactly once, applies per-SLO-class
-  admission control (:class:`SloClass` depth limits →
-  :class:`~repro.errors.QueueFullError`), consults the registry's
-  circuit breakers, and assigns the request id that routing hashes.
-* **dispatch thread** — drains the inbox into per-(model, replica)
-  :class:`~repro.serve.batcher.MicroBatcher`s (the replica chosen by
-  the seeded :class:`~repro.serve.pool.ConsistentHashRouter`), sheds
-  deadline-expired requests, packs each ready batch bit-packed into a
-  free :class:`~repro.serve.shm.SpikeRing` slot and posts a tiny
-  descriptor to the owning worker's queue.
-* **worker processes** — :func:`~repro.serve.pool.worker_main`: read
-  the slot, classify through the engine backend, post predictions +
-  stats as length-prefixed frames over the worker's private result
-  pipe (one ``os.pipe`` per worker generation, exactly one writer —
-  no cross-process lock a hard-killed worker could leave acquired).
-* **collector thread** — multiplexes the result pipes with ``select``
-  (non-blocking reads only), resolves futures from results, frees
-  ring slots, replays worker stats into the fabric's
-  :class:`~repro.serve.metrics.ServingMetrics` / metric registry
-  (per-replica labels) and records ``fleet.flush`` spans.
-* **supervisor thread** — watches worker liveness; a dead worker's
-  in-flight batches are failed explicitly (never silently dropped),
-  its ring slots freed, and the worker respawned with a fresh queue
-  under the :class:`~repro.resilience.policy.SupervisorPolicy` retry
-  budget.  A worker that exhausts the budget is removed from the
-  routing set; its undispatched requests re-route to the survivors.
-
-Determinism: ``infer_batch`` is split-invariant, so predictions are
-bit-identical to single-process serving for *any* worker count and
-any batching of the request stream — the chaos acceptance suite
-asserts this across worker counts and across a mid-run crash +
-respawn.  Rolling hot-swap (:meth:`FleetServer.swap` /
-:meth:`FleetServer.push_weights`) drains one replica at a time, so a
-weight rollout never has two weight versions answering interleaved
-batches of one replica and the fleet keeps serving throughout.
+Requests route to workers by a seeded consistent hash of their id, so
+the request→batch grouping is a pure function of the request stream;
+with split-invariant ``infer_batch``, predictions are bit-identical to
+in-process serving for *any* worker count — the chaos acceptance suite
+asserts this across worker counts and across a mid-run crash and
+respawn.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import select
-import threading
 import time
-from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    ModelUnavailableError,
-    QueueFullError,
-    ServingError,
-    WorkerCrashError,
-)
-from repro.obs.trace import get_tracer
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.policy import SupervisorPolicy
-from repro.serve.batcher import BatchPolicy, MicroBatcher
+from repro.serve.batcher import BatchPolicy
+from repro.serve.core import ServingCore
 from repro.serve.metrics import ServingMetrics
-from repro.serve.pool import (
-    ConsistentHashRouter,
-    FrameDecoder,
-    ModelPayload,
-    worker_main,
-)
+from repro.serve.pool import WorkerPoolExecutor
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import _Request
-from repro.serve.shm import RingGeometry, SpikeRing
-from repro.tile.network import validate_engine, validate_spikes
 
-__all__ = ["SloClass", "DEFAULT_SLO_CLASSES", "FleetServer"]
-
-#: How long the supervisor sleeps between worker liveness sweeps.
-SUPERVISOR_POLL_S = 0.02
+__all__ = ["FleetServer"]
 
 
-@dataclass(frozen=True)
-class SloClass:
-    """One admission class at the fabric edge.
-
-    ``max_queue_depth`` bounds how many requests of this class may be
-    in flight at once (beyond it, :meth:`FleetServer.submit` raises
-    :class:`~repro.errors.QueueFullError`); ``deadline_ms``, when set,
-    is the default queueing deadline applied to requests of the class
-    that do not carry an explicit one — expired requests are shed, not
-    served.
-    """
-
-    name: str
-    max_queue_depth: int = 256
-    deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("SLO class name must be non-empty")
-        if self.max_queue_depth < 1:
-            raise ConfigurationError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be > 0 when set, got {self.deadline_ms}"
-            )
-
-
-#: The stock admission classes the CLI exposes via ``--slo-class``.
-#: ``batch`` tolerates deep queues (throughput work), ``default`` is
-#: the balanced middle, ``interactive`` keeps queues shallow and sheds
-#: anything that waited longer than 50 ms.
-DEFAULT_SLO_CLASSES = {
-    "batch": SloClass("batch", max_queue_depth=2048),
-    "default": SloClass("default", max_queue_depth=256),
-    "interactive": SloClass(
-        "interactive", max_queue_depth=64, deadline_ms=50.0
-    ),
-}
-
-
-@dataclass
-class _InFlight:
-    """One batch the fabric has handed to a worker."""
-
-    batch_id: int
-    model: str
-    worker_id: int
-    slot: int
-    requests: list
-    dispatched_at: float
-
-
-class _Worker:
-    """Parent-side handle of one EngineWorker process."""
-
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.generation = -1
-        self.process = None
-        self.queue = None
-        #: Read end of this generation's result pipe (non-blocking)
-        #: and its frame reassembly buffer.  Only the collector thread
-        #: ever reads the fd.
-        self.result_rd = -1
-        self.decoder = None
-        self.ready = False
-        self.respawns = 0
-        self.removed = False
-
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-
-class FleetServer:
+class FleetServer(ServingCore):
     """Multi-process micro-batching classification service.
 
     Parameters
@@ -185,7 +51,8 @@ class FleetServer:
         Engine backend every worker flushes through.
     slo_classes:
         Admission classes by name (default
-        :data:`DEFAULT_SLO_CLASSES`).  Must contain ``"default"``.
+        :data:`~repro.serve.core.DEFAULT_SLO_CLASSES`).  Must contain
+        ``"default"``.
     supervisor:
         :class:`SupervisorPolicy`; its ``retry_budget`` bounds how
         many times one worker slot may be respawned before it is
@@ -214,818 +81,40 @@ class FleetServer:
                  n_slots: int | None = None,
                  clock=time.monotonic,
                  tracer=None) -> None:
-        validate_engine(engine)
-        if n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {n_workers}"
-            )
-        self.registry = registry
-        self.n_workers = n_workers
-        self.policy = policy or BatchPolicy()
-        self.engine = engine
-        self.metrics = metrics or ServingMetrics()
-        self.slo_classes = dict(slo_classes or DEFAULT_SLO_CLASSES)
-        if "default" not in self.slo_classes:
-            raise ConfigurationError(
-                'slo_classes must contain a "default" class'
-            )
-        self.supervisor = supervisor or SupervisorPolicy()
-        self.chaos = chaos if chaos is not None and chaos.active else None
-        self.router = ConsistentHashRouter(range(n_workers), seed=route_seed)
-        self.n_slots = (n_slots if n_slots is not None
-                        else max(2 * n_workers, 4))
-        self._clock = clock
-        self._tracer = tracer
-        #: One lock for all fabric state: inbox, batchers, in-flight
-        #: map, free slots, class depths, worker handles.
-        self._cond = threading.Condition()
-        self._inbox: list[tuple[int, str, _Request]] = []
-        self._batchers: dict[tuple[str, int], MicroBatcher] = {}
-        self._in_flight_requests = 0
-        self._class_depth: dict[str, int] = {
-            name: 0 for name in self.slo_classes
-        }
-        self._next_request_id = 0
-        self._next_batch_id = 0
-        self._free_slots: list[int] = []
-        self._assigned: dict[int, _InFlight] = {}
-        self._draining: set[int] = set()
-        self._swap_acks: dict[int, tuple] = {}
-        self._workers: dict[int, _Worker] = {}
-        self._ring: SpikeRing | None = None
-        #: Result pipes of dead worker generations, awaiting one final
-        #: collector drain: ``(read_fd, decoder)`` tuples.
-        self._retired_pipes: list[tuple[int, FrameDecoder]] = []
-        self._mp = multiprocessing.get_context()
-        self._running = False
-        self._failed = False
-        self._drain_on_stop = True
-        self._threads: list[threading.Thread] = []
-
-    # -- lifecycle ------------------------------------------------------------------
-
-    def start(self) -> "FleetServer":
-        """Allocate the ring, spawn the workers, start the fabric threads.
-
-        Worker processes are spawned *before* any fabric thread starts,
-        so a fork start method never duplicates a running thread into a
-        child.
-        """
-        with self._cond:
-            if self._running:
-                return self
-        names = self.registry.names()
-        if not names:
-            raise ConfigurationError(
-                "the registry holds no models; register before start()"
-            )
-        widths = [self.registry.get(n).tiles[0].n_in for n in names]
-        geometry = RingGeometry(
-            self.n_slots, self.policy.max_batch_size, max(widths)
+        executor = WorkerPoolExecutor(
+            n_workers, supervisor=supervisor, chaos=chaos,
+            route_seed=route_seed, n_slots=n_slots,
         )
-        self._ring = SpikeRing(geometry)
-        self._free_slots = list(range(self.n_slots))
-        self._retired_pipes = []
-        self._workers = {w: _Worker(w) for w in range(self.n_workers)}
-        for worker in self._workers.values():
-            worker.queue = self._mp.SimpleQueue()
-            self._spawn(worker)
-        with self._cond:
-            self._running = True
-            self._failed = False
-        self._threads = [
-            threading.Thread(target=self._dispatch_loop,
-                             name="repro-fleet-dispatch", daemon=True),
-            threading.Thread(target=self._collector_loop,
-                             name="repro-fleet-collect", daemon=True),
-            threading.Thread(target=self._supervisor_loop,
-                             name="repro-fleet-supervise", daemon=True),
-        ]
-        self.metrics.mark_started()
-        for thread in self._threads:
-            thread.start()
-        return self
-
-    def _payloads(self) -> list[ModelPayload]:
-        return [
-            ModelPayload.from_network(name, self.registry.get(name))
-            for name in self.registry.names()
-        ]
-
-    def _spawn(self, worker: _Worker) -> None:
-        """Start one worker process on the slot's current work queue.
-
-        The caller is responsible for having installed a *fresh* queue
-        when respawning after a crash — items posted to a dead
-        worker's queue must never be double-served by its successor
-        (the supervisor fails them explicitly instead).  Each spawn
-        also gets a fresh result pipe: the dying generation may have
-        torn its final frame, and a torn tail must never desync its
-        successor's frame stream.
-        """
-        read_fd, write_fd = os.pipe()
-        os.set_blocking(read_fd, False)
-        with self._cond:
-            worker.generation += 1
-            worker.ready = False
-            worker.result_rd = read_fd
-            worker.decoder = FrameDecoder()
-        worker.process = self._mp.Process(
-            target=worker_main,
-            name=f"repro-fleet-worker-{worker.worker_id}",
-            args=(worker.worker_id, worker.generation, self._ring.name,
-                  self._ring.geometry.to_tuple(), self._payloads(),
-                  self.engine, worker.queue, write_fd,
-                  self.chaos),
-            daemon=True,
+        super().__init__(
+            registry, executor, policy=policy, engine=engine,
+            metrics=metrics, slo_classes=slo_classes, clock=clock,
+            tracer=tracer,
         )
-        worker.process.start()
-        # The child owns its copy of the write end; dropping the
-        # parent's keeps the fd table bounded across respawns.
-        os.close(write_fd)
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop the fabric; ``drain=True`` serves every admitted request."""
-        with self._cond:
-            if not self._running and not self._threads:
-                return
-            self._running = False
-            self._drain_on_stop = drain
-            self._cond.notify_all()
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        for worker in self._workers.values():
-            if worker.alive:
-                worker.queue.put(("stop",))
-        for worker in self._workers.values():
-            if worker.process is not None:
-                worker.process.join(timeout=5.0)
-                if worker.process.is_alive():
-                    worker.process.kill()
-                    worker.process.join()
-        with self._cond:
-            fds = [w.result_rd for w in self._workers.values()
-                   if w.result_rd >= 0]
-            fds.extend(fd for fd, _ in self._retired_pipes)
-            for worker in self._workers.values():
-                worker.result_rd = -1
-            self._retired_pipes = []
-        for fd in fds:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        if self._ring is not None:
-            self._ring.close()
-            self._ring.unlink()
-            self._ring = None
-        self.metrics.mark_stopped()
-
-    def __enter__(self) -> "FleetServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop(drain=True)
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
-    def failed(self) -> bool:
-        with self._cond:
-            return self._failed
-
-    @property
-    def in_flight(self) -> int:
-        """Requests admitted but not yet resolved."""
-        with self._cond:
-            return self._in_flight_requests
-
-    def live_workers(self) -> set[int]:
-        """Worker ids still in the routing set (spawned or respawning)."""
-        with self._cond:
-            return {
-                w.worker_id for w in self._workers.values() if not w.removed
-            }
-
-    def describe(self) -> dict:
-        """JSON-ready fabric summary (CLI reports, tests)."""
-        with self._cond:
-            workers = [
-                {
-                    "worker_id": w.worker_id,
-                    "generation": w.generation,
-                    "ready": w.ready,
-                    "respawns": w.respawns,
-                    "removed": w.removed,
-                }
-                for w in self._workers.values()
-            ]
-        return {
-            "n_workers": self.n_workers,
-            "engine": self.engine,
-            "n_slots": self.n_slots,
-            "slo_classes": sorted(self.slo_classes),
-            "workers": workers,
-        }
-
-    # -- client API -----------------------------------------------------------------
-
-    def submit(self, model: str, spikes: np.ndarray,
-               deadline_ms: float | None = None,
-               slo_class: str = "default"):
-        """Admit one request at the fabric edge; returns its future.
-
-        This is the single validation point: the model name, the spike
-        vector (:func:`validate_spikes`, exactly once — workers never
-        re-check), the SLO class, and the class's depth limit
-        (:class:`QueueFullError`) are all enforced here, then the
-        request id that routing hashes is assigned under the lock.
-        """
-        try:
-            slo = self.slo_classes[slo_class]
-        except KeyError:
-            known = ", ".join(sorted(self.slo_classes))
-            raise ConfigurationError(
-                f"unknown SLO class {slo_class!r} (known: {known})"
-            ) from None
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be > 0 when set, got {deadline_ms}"
-            )
-        if deadline_ms is None:
-            deadline_ms = slo.deadline_ms
-        network = self.registry.get(model)
-        spikes = validate_spikes(spikes, network.tiles[0].n_in)
-        with self._cond:
-            if self._failed:
-                raise ServingError(
-                    "the fleet's fabric crashed; restart before submitting"
-                )
-            if not self._running:
-                raise ServingError("the fleet is not running; call start()")
-            if self._class_depth[slo.name] >= slo.max_queue_depth:
-                self.metrics.record_rejected()
-                raise QueueFullError(
-                    f"SLO class {slo.name!r} is full "
-                    f"({self._class_depth[slo.name]} in flight, "
-                    f"max_queue_depth={slo.max_queue_depth}); retry later"
-                )
-            try:
-                self.registry.check(model)
-            except ModelUnavailableError:
-                self.metrics.record_broken_circuit()
-                raise
-            now = self._clock()
-            deadline_at = (
-                now + deadline_ms / 1e3 if deadline_ms is not None else None
-            )
-            request = _Request(
-                model=model, spikes=spikes, submitted_at=now,
-                deadline_at=deadline_at,
-            )
-            # Stamped on the request so resolution can release the
-            # right class depth (dynamic attribute; _Request has no
-            # __slots__ by design).
-            request.slo_class = slo.name
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._in_flight_requests += 1
-            self._class_depth[slo.name] += 1
-            self._inbox.append((request_id, model, request))
-            self.metrics.record_submitted(
-                queue_depth=self._in_flight_requests
-            )
-            self._cond.notify_all()
-        return request.future
-
-    def classify(self, model: str, spikes: np.ndarray,
-                 timeout: float | None = 30.0) -> int:
-        """Blocking single-request convenience around :meth:`submit`."""
-        return self.submit(model, spikes).result(timeout=timeout)
-
-    # -- rolling hot-swap -----------------------------------------------------------
+    # In the class's own dict so callers that patch
+    # ``vars(FleetServer)["submit"]`` (timing wrappers) find it.
+    submit = ServingCore.submit
 
     def swap(self, name: str, network, point=None):
         """Replace ``name``'s network and roll it out replica by replica.
 
         The registry swap happens first (interface check, breaker
-        reset); then each live worker is drained — no new batches
-        dispatched to it, its in-flight batches allowed to finish —
-        and handed the new weights before the next worker starts
-        draining.  The fleet keeps serving on the other replicas the
-        whole time.  Returns the old network.
+        reset); the fleet keeps serving on the other replicas the whole
+        time.  Returns the old network.
         """
         old = self.registry.swap(name, network, point=point)
-        self._rollout(name)
+        self.executor.rollout(name)
         return old
 
     def push_weights(self, name: str) -> tuple:
         """Roll the registry's *current* weights for ``name`` out.
 
-        The in-place hot-swap path: after online learning or fault
-        injection mutated the registered network's tiles (bumping
-        ``Tile.weight_version``), this ships a fresh snapshot to every
-        worker, one drained replica at a time.  Returns the weight
-        versions rolled out.
+        The in-place hot-swap path, after online learning or fault
+        injection mutated the registered network's tiles.  Returns the
+        weight versions rolled out.
         """
-        return self._rollout(name)
+        return self.executor.rollout(name)
 
-    def _rollout(self, name: str) -> tuple:
-        payload = ModelPayload.from_network(name, self.registry.get(name))
-        for worker_id in sorted(self.live_workers()):
-            with self._cond:
-                worker = self._workers[worker_id]
-                if worker.removed:
-                    continue
-                self._draining.add(worker_id)
-            try:
-                self._await(
-                    lambda: not self._busy(worker_id),
-                    f"draining replica {worker_id} for {name!r} rollout",
-                )
-                with self._cond:
-                    worker = self._workers[worker_id]
-                    if worker.removed:
-                        continue
-                    self._swap_acks.pop(worker_id, None)
-                    sent_generation = worker.generation
-                    worker.queue.put(("swap", name, payload))
-                # A respawn mid-swap is also success: the fresh worker
-                # rebuilt from the registry, which already holds the
-                # new weights (so the lost swap message is moot).
-                self._await(
-                    lambda: self._swap_acks.get(worker_id)
-                    == (name, payload.versions)
-                    or self._workers[worker_id].generation != sent_generation
-                    or self._workers[worker_id].removed,
-                    f"swap ack from replica {worker_id} for {name!r}",
-                )
-            finally:
-                with self._cond:
-                    self._draining.discard(worker_id)
-                    self._cond.notify_all()
-        return payload.versions
-
-    def _busy(self, worker_id: int) -> bool:
-        """Does ``worker_id`` hold in-flight batches?  (Call under lock.)"""
-        return any(
-            f.worker_id == worker_id for f in self._assigned.values()
-        )
-
-    def _await(self, predicate, what: str, timeout_s: float = 30.0) -> None:
-        """Wait on the fabric condition until ``predicate()`` holds."""
-        deadline = self._clock() + timeout_s
-        with self._cond:
-            while not predicate():
-                if self._failed:
-                    raise ServingError(
-                        f"fleet failed while waiting for {what}"
-                    )
-                if self._clock() >= deadline:
-                    raise ServingError(f"timed out waiting for {what}")
-                self._cond.wait(0.05)
-
-    # -- dispatch -------------------------------------------------------------------
-
-    def _batcher_for(self, model: str, worker_id: int) -> MicroBatcher:
-        """The (model, replica) batcher.  Call under the fabric lock."""
-        key = (model, worker_id)
-        batcher = self._batchers.get(key)
-        if batcher is None:
-            batcher = MicroBatcher(self.policy, clock=self._clock)
-            self._batchers[key] = batcher
-        return batcher
-
-    def _dispatch_loop(self) -> None:
-        try:
-            self._dispatch_forever()
-        except BaseException as error:  # noqa: BLE001 - must fail pending
-            self._fail_pending(error)
-            raise
-
-    def _dispatch_forever(self) -> None:
-        while True:
-            with self._cond:
-                if self._running and not self._inbox and not self._any_ready():
-                    timeout = 0.05
-                    deadline = self._next_deadline()
-                    if deadline is not None:
-                        timeout = min(
-                            timeout, max(0.0, deadline - self._clock())
-                        )
-                    self._cond.wait(timeout)
-                stopping = not self._running
-                drained = self._inbox
-                self._inbox = []
-                live = {
-                    w.worker_id
-                    for w in self._workers.values() if not w.removed
-                }
-                for request_id, model, request in drained:
-                    worker_id = self.router.route(request_id, live)
-                    self._batcher_for(model, worker_id).add(
-                        request, now=request.submitted_at
-                    )
-            if stopping:
-                self._shutdown_flush()
-                return
-            self._flush_ready()
-
-    def _any_ready(self) -> bool:
-        """Any batcher flushable right now?  (Call under lock.)"""
-        now = self._clock()
-        return any(
-            b.ready(now) and key[1] not in self._draining
-            and self._workers[key[1]].ready
-            for key, b in self._batchers.items()
-        )
-
-    def _next_deadline(self) -> float | None:
-        deadlines = [
-            d for d in (b.next_deadline() for b in self._batchers.values())
-            if d is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def _flush_ready(self) -> None:
-        """Take ready batches (one at a time, under the lock) and post them."""
-        while True:
-            with self._cond:
-                job = None
-                now = self._clock()
-                for (model, worker_id), batcher in self._batchers.items():
-                    worker = self._workers[worker_id]
-                    if worker_id in self._draining or not worker.ready:
-                        continue
-                    if batcher.ready(now):
-                        job = (model, worker_id, batcher.take(now))
-                        break
-            if job is None:
-                return
-            self._dispatch_batch(*job)
-
-    def _dispatch_batch(self, model: str, worker_id: int,
-                        requests: list) -> None:
-        """Shed the doomed, pack the live rest into a slot, post it."""
-        if not requests:
-            return
-        now = self._clock()
-        live: list[_Request] = []
-        doomed: list[_Request] = []
-        for request in requests:
-            if request.deadline_at is not None and request.deadline_at <= now:
-                doomed.append(request)
-            else:
-                live.append(request)
-        if doomed:
-            for request in doomed:
-                overdue_ms = (now - request.deadline_at) * 1e3
-                request.future.set_exception(DeadlineExceededError(
-                    f"deadline expired {overdue_ms:.1f} ms before dispatch; "
-                    "request shed"
-                ))
-            self.metrics.record_shed(len(doomed))
-            self._resolve(doomed)
-        if not live:
-            return
-        slot = self._acquire_slot()
-        if slot is None:  # fabric failed / aborted without drain
-            error = ServingError(
-                "fleet stopped before the batch could be dispatched"
-            )
-            for request in live:
-                request.future.set_exception(error)
-            self.metrics.record_failed(len(live))
-            self._resolve(live)
-            return
-        batch = np.stack([r.spikes for r in live])
-        n_rows = self._ring.pack_into(slot, batch)
-        with self._cond:
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
-            flight = _InFlight(
-                batch_id=batch_id, model=model, worker_id=worker_id,
-                slot=slot, requests=live, dispatched_at=self._clock(),
-            )
-            self._assigned[batch_id] = flight
-            target_queue = self._workers[worker_id].queue
-        target_queue.put(("batch", batch_id, model, slot, n_rows))
-
-    def _acquire_slot(self) -> int | None:
-        with self._cond:
-            while not self._free_slots:
-                if self._failed or (not self._running
-                                    and not self._drain_on_stop):
-                    return None
-                self._cond.wait(0.05)
-            return self._free_slots.pop()
-
-    def _release_slot(self, slot: int) -> None:
-        with self._cond:
-            self._free_slots.append(slot)
-            self._cond.notify_all()
-
-    def _resolve(self, requests: list) -> None:
-        """Account resolved requests out of the in-flight / class depths."""
-        with self._cond:
-            self._in_flight_requests -= len(requests)
-            for request in requests:
-                name = getattr(request, "slo_class", "default")
-                self._class_depth[name] -= 1
-            self._cond.notify_all()
-
-    def _shutdown_flush(self) -> None:
-        with self._cond:
-            tails = [
-                (model, worker_id, batch)
-                for (model, worker_id), batcher in self._batchers.items()
-                for batch in batcher.drain()
-            ]
-        for model, worker_id, batch in tails:
-            if (self._drain_on_stop
-                    and not self._workers[worker_id].removed):
-                self._dispatch_batch(model, worker_id, batch)
-            else:
-                error = ServingError(
-                    "fleet stopped without draining; request abandoned"
-                )
-                for request in batch:
-                    request.future.set_exception(error)
-                self.metrics.record_failed(len(batch))
-                self._resolve(batch)
-        if self._drain_on_stop:
-            self._await(lambda: not self._assigned,
-                        "in-flight batches to drain")
-
-    # -- collection -----------------------------------------------------------------
-
-    def _collector_loop(self) -> None:
-        try:
-            self._collect_forever()
-        except BaseException as error:  # noqa: BLE001 - must fail pending
-            self._fail_pending(error)
-            raise
-
-    def _collect_forever(self) -> None:
-        while True:
-            with self._cond:
-                if not self._running:
-                    drained = (not self._assigned and not self._inbox
-                               and not any(
-                                   len(b) for b in self._batchers.values()
-                               ))
-                    if self._failed or drained:
-                        return
-                live = [
-                    (w.result_rd, w.decoder)
-                    for w in self._workers.values() if w.result_rd >= 0
-                ]
-                retired = self._retired_pipes
-                self._retired_pipes = []
-            # Retired pipes (dead generations) get one final drain:
-            # every complete frame the worker managed to write is
-            # already in the kernel buffer, a torn tail is discarded
-            # with the decoder.  This thread is the only reader of any
-            # result fd, so a fd showing up both here and in ``live``
-            # (retirement racing the snapshot) is still single-reader.
-            for fd, decoder in retired:
-                self._drain_pipe(fd, decoder)
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            if not live:
-                time.sleep(0.005)
-                continue
-            try:
-                readable, _, _ = select.select(
-                    [fd for fd, _ in live], [], [], 0.05
-                )
-            except OSError:
-                # A fd was retired+closed between snapshot and select;
-                # re-snapshot.
-                continue
-            for fd, decoder in live:
-                if fd in readable:
-                    self._drain_pipe(fd, decoder)
-
-    def _drain_pipe(self, fd: int, decoder: FrameDecoder) -> None:
-        """Non-blocking read of everything available, frame dispatch."""
-        while True:
-            try:
-                data = os.read(fd, 1 << 16)
-            except BlockingIOError:
-                break
-            except OSError:
-                break
-            if not data:
-                break
-            decoder.feed(data)
-        for message in decoder.frames():
-            self._handle_result(message)
-
-    def _handle_result(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "ready":
-            _, worker_id, generation = message
-            with self._cond:
-                worker = self._workers.get(worker_id)
-                if worker is not None and worker.generation == generation:
-                    worker.ready = True
-                    self._cond.notify_all()
-        elif kind == "swapped":
-            _, worker_id, model, versions = message
-            with self._cond:
-                self._swap_acks[worker_id] = (model, versions)
-                self._cond.notify_all()
-        elif kind == "ok":
-            _, batch_id, worker_id, slot, predictions, stats = message
-            with self._cond:
-                flight = self._assigned.pop(batch_id, None)
-            if flight is None:
-                # Late result of a batch the supervisor already failed
-                # (its slot was freed there; never free it twice).
-                return
-            self._release_slot(flight.slot)
-            done = self._clock()
-            self.registry.record_flush_success(flight.model)
-            self.metrics.record_batch(len(flight.requests))
-            self._replay_stats(flight, stats, done)
-            for request, prediction in zip(flight.requests, predictions):
-                request.future.set_result(int(prediction))
-                self.metrics.record_completed(done - request.submitted_at)
-            self._resolve(flight.requests)
-        elif kind == "error":
-            _, batch_id, worker_id, slot, text = message
-            with self._cond:
-                flight = self._assigned.pop(batch_id, None)
-            if flight is None:
-                return
-            self._release_slot(flight.slot)
-            self.registry.record_flush_failure(flight.model)
-            error = ServingError(
-                f"worker {worker_id} failed the batch: {text}"
-            )
-            for request in flight.requests:
-                request.future.set_exception(error)
-            self.metrics.record_failed(len(flight.requests))
-            self._resolve(flight.requests)
-
-    def _replay_stats(self, flight: _InFlight, stats: dict,
-                      done: float) -> None:
-        """Fold one worker's batch stats into the fabric's registry."""
-        registry = self.metrics.registry
-        labels = {"replica": str(flight.worker_id), "model": flight.model}
-        registry.counter("repro_fleet_batches_total", **labels).inc()
-        registry.counter(
-            "repro_fleet_rows_total", **labels
-        ).inc(stats.get("rows", len(flight.requests)))
-        registry.histogram(
-            "repro_fleet_flush_ms", **labels
-        ).observe(round(stats.get("flush_s", 0.0) * 1e3, 3))
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        if tracer.enabled:
-            tracer.record(
-                "fleet.flush", flight.dispatched_at, done,
-                model=flight.model, replica=flight.worker_id,
-                size=len(flight.requests), engine=self.engine,
-            )
-
-    # -- supervision ----------------------------------------------------------------
-
-    def _supervisor_loop(self) -> None:
-        try:
-            while True:
-                with self._cond:
-                    if self._failed:
-                        return
-                    if not self._running and not self._assigned:
-                        return
-                for worker in list(self._workers.values()):
-                    if (worker.process is not None and not worker.removed
-                            and not worker.alive):
-                        with self._cond:
-                            if not self._running:
-                                # Normal shutdown is stopping workers;
-                                # a death now is not a crash.
-                                continue
-                        self._handle_crash(worker)
-                time.sleep(SUPERVISOR_POLL_S)
-        except BaseException as error:  # noqa: BLE001 - must fail pending
-            self._fail_pending(error)
-            raise
-
-    def _handle_crash(self, worker: _Worker) -> None:
-        """One worker died: fail its in-flight work, respawn or remove it.
-
-        Ordering matters: the fresh work queue is installed *before*
-        the in-flight snapshot is taken, so any batch the dispatcher
-        managed to post to the dead queue is provably in the snapshot
-        (batches register in ``_assigned`` before the post) and gets
-        failed here — nothing ever lands in a void.
-        """
-        exit_code = worker.process.exitcode
-        with self._cond:
-            worker.ready = False
-            worker.queue = self._mp.SimpleQueue()
-            # Retire the dead generation's result pipe; the collector
-            # gives it one final drain (complete frames still count)
-            # and closes it.  The successor gets a fresh pipe in
-            # ``_spawn`` so a torn final frame cannot desync it.
-            if worker.result_rd >= 0:
-                self._retired_pipes.append(
-                    (worker.result_rd, worker.decoder)
-                )
-                worker.result_rd = -1
-                worker.decoder = None
-            lost = [
-                f for f in self._assigned.values()
-                if f.worker_id == worker.worker_id
-            ]
-            for flight in lost:
-                del self._assigned[flight.batch_id]
-        cause = WorkerCrashError(
-            f"fleet worker {worker.worker_id} died (exit code {exit_code})"
-        )
-        registry = self.metrics.registry
-        registry.counter(
-            "repro_fleet_worker_crashes_total",
-            replica=str(worker.worker_id),
-        ).inc()
-        for flight in lost:
-            self._release_slot(flight.slot)
-            self.registry.record_flush_failure(flight.model)
-            error = ServingError(
-                f"fleet worker {worker.worker_id} crashed with the batch "
-                "in flight; request failed explicitly"
-            )
-            error.__cause__ = cause
-            for request in flight.requests:
-                request.future.set_exception(error)
-            self.metrics.record_failed(len(flight.requests))
-            self._resolve(flight.requests)
-        if worker.respawns < self.supervisor.retry_budget:
-            worker.respawns += 1
-            registry.counter(
-                "repro_fleet_respawns_total", replica=str(worker.worker_id)
-            ).inc()
-            self._spawn(worker)
-            return
-        # Budget exhausted: remove the replica from the routing set and
-        # re-route its undispatched requests to the survivors.
-        with self._cond:
-            worker.removed = True
-            survivors = {
-                w.worker_id for w in self._workers.values() if not w.removed
-            }
-            stranded = [
-                (model, request)
-                for (model, worker_id), batcher in self._batchers.items()
-                if worker_id == worker.worker_id
-                for batch in batcher.drain()
-                for request in batch
-            ]
-            if survivors:
-                for index, (model, request) in enumerate(stranded):
-                    target = self.router.route(f"reroute/{index}", survivors)
-                    self._batcher_for(model, target).add(
-                        request, now=request.submitted_at
-                    )
-            self._cond.notify_all()
-        if not survivors:
-            self._fail_pending(cause)
-
-    # -- terminal failure -----------------------------------------------------------
-
-    def _fail_pending(self, error: BaseException) -> None:
-        """The fabric died: fail every admitted-but-unresolved future."""
-        failure = ServingError(
-            f"the fleet fabric crashed ({type(error).__name__}: {error}); "
-            "pending requests abandoned"
-        )
-        failure.__cause__ = error
-        with self._cond:
-            if self._failed:
-                return
-            self._failed = True
-            self._running = False
-            pending = [request for _, _, request in self._inbox]
-            self._inbox = []
-            for flight in self._assigned.values():
-                pending.extend(flight.requests)
-            self._assigned = {}
-            for batcher in self._batchers.values():
-                for batch in batcher.drain():
-                    pending.extend(batch)
-            self._cond.notify_all()
-        abandoned = 0
-        for request in pending:
-            if not request.future.done():
-                request.future.set_exception(failure)
-                abandoned += 1
-        if abandoned:
-            self.metrics.record_failed(abandoned)
-        self._resolve(pending)
+    def live_workers(self) -> set[int]:
+        """Worker ids still in the routing set (spawned or respawning)."""
+        return self.executor.live_workers()

@@ -1,80 +1,109 @@
-"""The inference server: bounded queue, dispatch loop, backpressure.
+"""The in-process server: batches flush on the dispatch thread.
 
-``InferenceServer`` turns the batched engine into a traffic-serving
-system.  Clients call :meth:`~InferenceServer.submit` (non-blocking,
-returns a future) or :meth:`~InferenceServer.classify` (blocking
-convenience); a single dispatch thread moves admitted requests into
-per-model :class:`~repro.serve.batcher.MicroBatcher`s and flushes ready
-batches through ``EsamNetwork.infer_batch``.
+``InferenceServer`` is the :class:`~repro.serve.core.ServingCore` over
+an :class:`InProcessExecutor`: one lane, and each micro-batch runs
+through ``EsamNetwork``'s engine backend right on the dispatch thread.
+Clients call :meth:`~repro.serve.core.ServingCore.submit`
+(non-blocking, returns a future) or
+:meth:`~repro.serve.core.ServingCore.classify` (blocking convenience).
 
-Backpressure is explicit and accounted: the server admits at most
-``max_queue_depth`` in-flight requests (submitted but not yet
-resolved); beyond that, :meth:`submit` raises
-:class:`~repro.errors.QueueFullError` without enqueueing anything.  No
-admitted request is ever dropped silently — every future is resolved
-with a prediction, failed with the inference exception, failed with
-:class:`~repro.errors.DeadlineExceededError` when its deadline expired
-before dispatch (load shedding), or failed with
-:class:`~repro.errors.ServingError` if the server stops without
-draining or its dispatch thread dies.  At the end of any run,
-``submitted == completed + failed + shed`` holds exactly (the metrics
-invariant the chaos acceptance suite asserts).
+Backpressure is the core's admission: the server's one ``default``
+SLO class admits at most ``max_queue_depth`` in-flight requests, and
+beyond that ``submit`` raises :class:`~repro.errors.QueueFullError`
+without enqueueing anything.  No admitted request is ever dropped
+silently — ``submitted == completed + failed + shed`` holds exactly.
 
 Resilience hooks are all opt-in: a
 :class:`~repro.resilience.policy.RetryPolicy` absorbs transient flush
 failures with seeded backoff, a registry constructed with a
 :class:`~repro.resilience.policy.BreakerPolicy` fail-fasts admission
-per model while its circuit is open
-(:class:`~repro.errors.ModelUnavailableError`), and a
+per model while its circuit is open, and a
 :class:`~repro.resilience.chaos.ChaosPolicy` injects deterministic
 flush faults and latency spikes for the acceptance tests.
-
-Predictions are deterministic: ``infer_batch`` is split-invariant (a
-property the test suite asserts), so however arrival timing partitions
-a request stream into micro-batches, every request gets the same
-prediction the offline ``classify_batch`` would give it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import Future
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    ModelUnavailableError,
-    QueueFullError,
-    ServingError,
-)
-from repro.obs.trace import get_tracer
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.policy import RetryPolicy
-from repro.serve.batcher import BatchPolicy, MicroBatcher
+from repro.serve.batcher import BatchPolicy
+from repro.serve.core import BatchExecutor, ServingCore, SloClass
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ModelRegistry
-from repro.tile.network import validate_engine, validate_spikes
+
+__all__ = ["InProcessExecutor", "InferenceServer"]
 
 
-@dataclass
-class _Request:
-    """One admitted classification request."""
+class InProcessExecutor(BatchExecutor):
+    """One lane: the dispatch thread runs each batch through the engine.
 
-    model: str
-    spikes: np.ndarray
-    submitted_at: float
-    #: Absolute clock time after which the request is shed instead of
-    #: dispatched (``None`` = no deadline).
-    deadline_at: float | None = None
-    future: Future = field(default_factory=Future)
+    Every flush runs under the optional retry policy (each absorbed
+    retry counted and reported to the registry's circuit breaker) and,
+    when a chaos policy is active, its deterministic fault schedule
+    first.
+    """
+
+    def __init__(self, retry: RetryPolicy | None = None,
+                 chaos: ChaosPolicy | None = None) -> None:
+        self.retry = retry
+        self.chaos = chaos if chaos is not None and chaos.active else None
+        self._flush_counts: dict[str, int] = {}
+
+    def run(self, model: str, lane: int, requests: list) -> None:
+        core = self.core
+        registry, metrics, clock = core.registry, core.metrics, core._clock
+        tracer = core.tracer
+        batch = np.stack([r.spikes for r in requests])
+        flush_index = self._flush_counts.get(model, 0)
+        self._flush_counts[model] = flush_index + 1
+
+        def flush(attempt: int):
+            if self.chaos is not None:
+                self.chaos.on_flush(f"{model}/{flush_index}", attempt)
+            # Validate-once contract: every spike vector was validated
+            # at submit(), so the flush goes straight to the backend.
+            return registry.get(model).engine_backend(
+                core.engine
+            ).classify_batch(batch)
+
+        def on_retry(attempt, error, delay_ms) -> None:
+            metrics.record_retried()
+            registry.record_flush_failure(model)
+            if tracer.enabled:
+                at = clock()
+                tracer.record("serve.retry", at, at, model=model,
+                              attempt=attempt, delay_ms=delay_ms,
+                              error=type(error).__name__)
+
+        started = clock()
+        try:
+            if self.retry is not None:
+                predictions = self.retry.call(flush, on_retry=on_retry)
+            else:
+                predictions = flush(0)
+        except Exception as error:  # noqa: BLE001 - forwarded to callers
+            registry.record_flush_failure(model)
+            if tracer.enabled:
+                tracer.record("serve.flush", started, clock(), model=model,
+                              size=len(requests), engine=core.engine,
+                              outcome="failed")
+            core._fail(requests, error)
+            return
+        registry.record_flush_success(model)
+        done = clock()
+        if tracer.enabled:
+            tracer.record("serve.flush", started, done, model=model,
+                          size=len(requests), engine=core.engine,
+                          outcome="completed")
+        core._complete(requests, predictions, done)
 
 
-class InferenceServer:
-    """Micro-batching classification service over a model registry.
+class InferenceServer(ServingCore):
+    """Micro-batching classification service, in process.
 
     Parameters
     ----------
@@ -85,36 +114,23 @@ class InferenceServer:
         The :class:`~repro.serve.batcher.BatchPolicy` applied per
         model (default: 64-image batches, 2 ms coalescing window).
     max_queue_depth:
-        In-flight request bound; the explicit backpressure knob.
+        In-flight request bound — the depth of the server's one
+        ``default`` SLO class; the explicit backpressure knob.
     engine:
         Simulation engine used for every flush: any registered backend
-        (:data:`repro.tile.ENGINES`; ``"fast"`` default).  Every
-        backend serves bit-identical predictions — only the flush
-        latency differs.
+        (:data:`repro.tile.ENGINES`; ``"fast"`` default).
     metrics:
         Optional externally-owned :class:`ServingMetrics` collector.
     retry:
         Optional :class:`RetryPolicy` applied to every micro-batch
-        flush: transient failures (:data:`~repro.resilience.policy.
-        TRANSIENT_ERRORS`) are retried with seeded backoff before the
-        batch is failed.  Each absorbed retry is counted in
-        ``metrics.retried`` and reported to the registry's circuit
-        breaker.
+        flush (:class:`InProcessExecutor`).
     chaos:
-        Optional :class:`ChaosPolicy`; when active, every flush attempt
-        first runs the policy's deterministic fault schedule (latency
-        spikes, injected flush errors).  Test-harness knob — leave
-        ``None`` in real serving.
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`.  ``None`` (default)
-        consults the process-global tracer at each flush, which is a
-        no-op :class:`~repro.obs.trace.NullTracer` unless one was
-        installed — so instrumentation costs one attribute check per
-        batch when tracing is off (the serving benchmark gates this).
-        Serve spans are recorded with the *server's* clock (queue
-        waits start at submit time), so a trace mixing serve and
-        engine spans should use one clock for both — construct the
-        server with ``clock=tracer.now`` as the CLI does.
+        Optional :class:`ChaosPolicy` of injected flush faults and
+        latency spikes.  Test-harness knob — leave ``None`` in real
+        serving.
+    clock, tracer:
+        As for :class:`~repro.serve.core.ServingCore`; construct with
+        ``clock=tracer.now`` to put serve and engine spans on one axis.
     """
 
     def __init__(self, registry: ModelRegistry,
@@ -126,363 +142,10 @@ class InferenceServer:
                  chaos: ChaosPolicy | None = None,
                  clock=time.monotonic,
                  tracer=None) -> None:
-        validate_engine(engine)
-        if max_queue_depth < 1:
-            raise ConfigurationError(
-                f"max_queue_depth must be >= 1, got {max_queue_depth}"
-            )
-        self.registry = registry
-        self.policy = policy or BatchPolicy()
         self.max_queue_depth = max_queue_depth
-        self.engine = engine
-        self.metrics = metrics or ServingMetrics()
-        self.retry = retry
-        self.chaos = chaos if chaos is not None and chaos.active else None
-        self._tracer = tracer
-        self._clock = clock
-        self._cond = threading.Condition()
-        self._inbox: list[_Request] = []
-        #: The batch currently being flushed — tracked so a dispatch
-        #: crash mid-flush can still fail its futures (the batcher no
-        #: longer holds them).
-        self._flushing: list[_Request] = []
-        self._batchers: dict[str, MicroBatcher] = {}
-        self._flush_counts: dict[str, int] = {}
-        self._in_flight = 0
-        self._running = False
-        self._failed = False
-        self._drain_on_stop = True
-        self._thread: threading.Thread | None = None
-
-    # -- lifecycle ------------------------------------------------------------------
-
-    def start(self) -> "InferenceServer":
-        """Spawn the dispatch thread (idempotent)."""
-        with self._cond:
-            if self._running:
-                return self
-            self._running = True
-            self._failed = False
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch",
-            daemon=True,
+        super().__init__(
+            registry, InProcessExecutor(retry, chaos), policy=policy,
+            engine=engine, metrics=metrics,
+            slo_classes={"default": SloClass("default", max_queue_depth)},
+            clock=clock, tracer=tracer,
         )
-        self.metrics.mark_started()
-        self._thread.start()
-        return self
-
-    def stop(self, drain: bool = True) -> None:
-        """Stop the dispatch thread.
-
-        ``drain=True`` (default) serves every admitted request before
-        returning; ``drain=False`` fails still-pending futures with
-        :class:`ServingError` — either way nothing is silently lost.
-        """
-        with self._cond:
-            if not self._running and self._thread is None:
-                return
-            self._running = False
-            self._drain_on_stop = drain
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.metrics.mark_stopped()
-
-    def __enter__(self) -> "InferenceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop(drain=True)
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
-    def failed(self) -> bool:
-        """Did the dispatch thread die?  Terminal until :meth:`start`."""
-        with self._cond:
-            return self._failed
-
-    @property
-    def in_flight(self) -> int:
-        """Requests admitted but not yet resolved."""
-        with self._cond:
-            return self._in_flight
-
-    # -- client API -----------------------------------------------------------------
-
-    def submit(self, model: str, spikes: np.ndarray,
-               deadline_ms: float | None = None) -> Future:
-        """Admit one request; returns a future resolving to the class.
-
-        Validates the model name and spike vector *before* admission
-        and raises :class:`QueueFullError` when ``max_queue_depth``
-        requests are already in flight (explicit backpressure — the
-        request is not enqueued).  When the registry runs circuit
-        breakers, an open circuit raises
-        :class:`~repro.errors.ModelUnavailableError` instead of
-        admitting a doomed request.
-
-        ``deadline_ms`` bounds the request's queueing time: if the
-        deadline has passed when the dispatch loop reaches the request,
-        it is shed — its future fails with
-        :class:`~repro.errors.DeadlineExceededError` without ever
-        touching the engine, and the shed is counted in the metrics.
-        """
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be > 0 when set, got {deadline_ms}"
-            )
-        network = self.registry.get(model)
-        spikes = validate_spikes(spikes, network.tiles[0].n_in)
-        with self._cond:
-            if self._failed:
-                raise ServingError(
-                    "the server's dispatch thread crashed; restart the "
-                    "server before submitting"
-                )
-            if not self._running:
-                raise ServingError("the server is not running; call start()")
-            if self._in_flight >= self.max_queue_depth:
-                self.metrics.record_rejected()
-                raise QueueFullError(
-                    f"request queue is full ({self._in_flight} in flight, "
-                    f"max_queue_depth={self.max_queue_depth}); retry later"
-                )
-            # Breaker gate *after* the depth check, so a half-open
-            # probe slot is only consumed by a request that would
-            # actually be admitted.
-            try:
-                self.registry.check(model)
-            except ModelUnavailableError:
-                self.metrics.record_broken_circuit()
-                raise
-            now = self._clock()
-            deadline_at = (
-                now + deadline_ms / 1e3 if deadline_ms is not None else None
-            )
-            self._in_flight += 1
-            request = _Request(
-                model=model, spikes=spikes, submitted_at=now,
-                deadline_at=deadline_at,
-            )
-            self._inbox.append(request)
-            self.metrics.record_submitted(queue_depth=self._in_flight)
-            self._cond.notify_all()
-        return request.future
-
-    def classify(self, model: str, spikes: np.ndarray,
-                 timeout: float | None = 30.0) -> int:
-        """Blocking single-request convenience around :meth:`submit`."""
-        return self.submit(model, spikes).result(timeout=timeout)
-
-    # -- dispatch loop --------------------------------------------------------------
-
-    def _batcher_for(self, model: str) -> MicroBatcher:
-        batcher = self._batchers.get(model)
-        if batcher is None:
-            batcher = MicroBatcher(self.policy, clock=self._clock)
-            self._batchers[model] = batcher
-        return batcher
-
-    def _next_deadline(self) -> float | None:
-        deadlines = [
-            d for d in (b.next_deadline() for b in self._batchers.values())
-            if d is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def _dispatch_loop(self) -> None:
-        """Thread body: the loop, wrapped so a crash is never silent.
-
-        If the loop itself dies (a bug, or a test sabotaging it) every
-        pending future is failed with :class:`ServingError` and the
-        server enters a terminal ``failed`` state — no client is left
-        waiting on a future nobody will ever resolve.
-        """
-        try:
-            self._dispatch_forever()
-        except BaseException as error:  # noqa: BLE001 - must fail pending
-            self._fail_pending(error)
-            raise
-
-    def _fail_pending(self, error: BaseException) -> None:
-        """Dispatch died: fail every admitted-but-unresolved future."""
-        failure = ServingError(
-            f"the dispatch thread crashed ({type(error).__name__}: {error}); "
-            "pending requests abandoned"
-        )
-        failure.__cause__ = error
-        with self._cond:
-            self._failed = True
-            self._running = False
-            pending = [*self._flushing, *self._inbox]
-            self._flushing = []
-            self._inbox = []
-        for batcher in self._batchers.values():
-            for batch in batcher.drain():
-                pending.extend(batch)
-        abandoned = 0
-        for request in pending:
-            if not request.future.done():
-                request.future.set_exception(failure)
-                abandoned += 1
-        if abandoned:
-            self.metrics.record_failed(abandoned)
-        with self._cond:
-            self._in_flight -= len(pending)
-            self._cond.notify_all()
-
-    def _dispatch_forever(self) -> None:
-        while True:
-            with self._cond:
-                if (self._running and not self._inbox
-                        and not any(
-                            b.ready(self._clock())
-                            for b in self._batchers.values()
-                        )):
-                    deadline = self._next_deadline()
-                    timeout = None
-                    if deadline is not None:
-                        timeout = max(0.0, deadline - self._clock())
-                    self._cond.wait(timeout)
-                stopping = not self._running
-                drained = self._inbox
-                self._inbox = []
-            for request in drained:
-                self._batcher_for(request.model).add(
-                    request, now=request.submitted_at
-                )
-            if stopping:
-                # Everything admitted is in the batchers now: submit()
-                # rejects once _running is false (checked under the same
-                # lock the inbox was emptied under), so the shutdown
-                # flush sees the complete final state.
-                self._shutdown_flush()
-                return
-            now = self._clock()
-            for model, batcher in self._batchers.items():
-                while batcher.ready(now):
-                    batch = batcher.take(now)
-                    self._flushing = batch
-                    self._run_batch(model, batch)
-                    self._flushing = []
-                    now = self._clock()
-
-    def _shutdown_flush(self) -> None:
-        """Resolve everything still pending after stop().
-
-        With ``drain=False`` nothing is inferred — not even
-        deadline-expired batches — so an abort returns promptly no
-        matter how deep the backlog or how slow the engine.
-        """
-        for model, batcher in self._batchers.items():
-            for batch in batcher.drain():
-                if self._drain_on_stop:
-                    self._flushing = batch
-                    self._run_batch(model, batch)
-                    self._flushing = []
-                else:
-                    error = ServingError(
-                        "server stopped without draining; request abandoned"
-                    )
-                    for request in batch:
-                        request.future.set_exception(error)
-                        self.metrics.record_failed()
-                    with self._cond:
-                        self._in_flight -= len(batch)
-
-    def _run_batch(self, model: str, requests: list[_Request]) -> None:
-        """One coalesced ``infer_batch`` call; resolves every future.
-
-        Deadline-expired requests are shed first (failed with
-        :class:`DeadlineExceededError`, never inferred); the live rest
-        flush through the engine under the retry policy, with every
-        outcome reported to the registry's circuit breaker.
-        """
-        if not requests:
-            return
-        now = self._clock()
-        live: list[_Request] = []
-        doomed: list[_Request] = []
-        for request in requests:
-            if request.deadline_at is not None and request.deadline_at <= now:
-                doomed.append(request)
-            else:
-                live.append(request)
-        if doomed:
-            for request in doomed:
-                overdue_ms = (now - request.deadline_at) * 1e3
-                request.future.set_exception(DeadlineExceededError(
-                    f"deadline expired {overdue_ms:.1f} ms before dispatch; "
-                    "request shed"
-                ))
-            self.metrics.record_shed(len(doomed))
-            with self._cond:
-                self._in_flight -= len(doomed)
-                self._cond.notify_all()
-        if not live:
-            return
-        tracer = self._tracer if self._tracer is not None else get_tracer()
-        if tracer.enabled:
-            # Serve spans use the server's clock: a queue wait starts
-            # at submit time, before any flush-scoped span could open.
-            assembled = min(r.submitted_at for r in live)
-            tracer.record("serve.batch_assembly", assembled, now,
-                          model=model, size=len(live))
-            for request in live:
-                tracer.record("serve.queue_wait", request.submitted_at,
-                              now, model=model)
-        batch = np.stack([r.spikes for r in live])
-        flush_index = self._flush_counts.get(model, 0)
-        self._flush_counts[model] = flush_index + 1
-
-        def flush(attempt: int):
-            if self.chaos is not None:
-                self.chaos.on_flush(f"{model}/{flush_index}", attempt)
-            network = self.registry.get(model)
-            # Validate-once contract: every spike vector in the batch
-            # was validated at submit(), so the flush goes straight to
-            # the engine backend instead of re-checking per hop.
-            return network.engine_backend(self.engine).classify_batch(batch)
-
-        def on_retry(attempt, error, delay_ms) -> None:
-            self.metrics.record_retried()
-            self.registry.record_flush_failure(model)
-            if tracer.enabled:
-                at = self._clock()
-                tracer.record("serve.retry", at, at, model=model,
-                              attempt=attempt, delay_ms=delay_ms,
-                              error=type(error).__name__)
-
-        flush_started = self._clock()
-        try:
-            if self.retry is not None:
-                predictions = self.retry.call(flush, on_retry=on_retry)
-            else:
-                predictions = flush(0)
-        except Exception as error:  # noqa: BLE001 - forwarded to callers
-            self.registry.record_flush_failure(model)
-            for request in live:
-                request.future.set_exception(error)
-            self.metrics.record_failed(len(live))
-            if tracer.enabled:
-                tracer.record("serve.flush", flush_started, self._clock(),
-                              model=model, size=len(live),
-                              engine=self.engine, outcome="failed")
-        else:
-            self.registry.record_flush_success(model)
-            done = self._clock()
-            if tracer.enabled:
-                tracer.record("serve.flush", flush_started, done,
-                              model=model, size=len(live),
-                              engine=self.engine, outcome="completed")
-            self.metrics.record_batch(len(live))
-            for request, prediction in zip(live, predictions):
-                request.future.set_result(int(prediction))
-                self.metrics.record_completed(done - request.submitted_at)
-        with self._cond:
-            self._in_flight -= len(live)
-            self._cond.notify_all()

@@ -43,6 +43,39 @@ def result_store(tmp_path):
     store.close()
 
 
+class ServerKind:
+    """Builds one of the two servers over the shared serving core."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    @property
+    def flush_span(self) -> str:
+        """The span the executor records once a batch has been served."""
+        return "serve.flush" if self.name == "in-process" else "fleet.flush"
+
+    def __call__(self, registry, **kwargs):
+        from repro.serve import FleetServer, InferenceServer
+
+        if self.name == "in-process":
+            return InferenceServer(registry, **kwargs)
+        return FleetServer(registry, n_workers=1, **kwargs)
+
+
+@pytest.fixture(params=[
+    "in-process",
+    pytest.param("fleet", marks=pytest.mark.multiprocess),
+])
+def serving(request) -> ServerKind:
+    """Each server (``InferenceServer``, one-worker ``FleetServer``).
+
+    The server-contract suite runs once per server through this
+    fixture; tests using it are auto-marked ``serve`` (the ``backend``
+    pattern), and the fleet's runs ``multiprocess``.
+    """
+    return ServerKind(request.param)
+
+
 def pytest_collection_modifyitems(items) -> None:
     for item in items:
         fixtures = getattr(item, "fixturenames", ())
@@ -50,6 +83,8 @@ def pytest_collection_modifyitems(items) -> None:
             item.add_marker(pytest.mark.backend)
         if "result_store" in fixtures:
             item.add_marker(pytest.mark.store)
+        if "serving" in fixtures:
+            item.add_marker(pytest.mark.serve)
 
 
 @pytest.fixture(scope="session")

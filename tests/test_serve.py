@@ -437,22 +437,6 @@ class TestInferenceServer:
         registry.register_network("demo", network)
         return registry, network
 
-    def test_served_predictions_match_offline_classify_batch(self):
-        registry, network = self._registry()
-        spikes = random_spikes(48)
-        with InferenceServer(
-            registry, policy=BatchPolicy(max_batch_size=8, max_wait_ms=1.0)
-        ) as server:
-            futures = [server.submit("demo", row) for row in spikes]
-            served = [f.result(timeout=10.0) for f in futures]
-        assert np.array_equal(served, network.classify_batch(spikes))
-        data = server.metrics.to_dict()
-        assert data["completed"] == 48 and data["failed"] == 0
-        assert sum(
-            int(k) * v for k, v in data["batch_size_hist"].items()
-        ) == 48
-        assert data["queue_depth_hist"]
-
     def test_deadline_flush_serves_partial_batches(self):
         registry, _ = self._registry()
         policy = BatchPolicy(max_batch_size=64, max_wait_ms=2.0)
@@ -484,35 +468,6 @@ class TestInferenceServer:
         assert np.array_equal(served, network.classify_batch(spikes[:4]))
         assert server.in_flight == 0
         assert server.metrics.completed == 4
-
-    def test_stop_without_drain_fails_pending_futures(self):
-        registry, _ = self._registry()
-        policy = BatchPolicy(max_batch_size=100, max_wait_ms=60_000.0)
-        server = InferenceServer(registry, policy=policy).start()
-        futures = [server.submit("demo", row) for row in random_spikes(3)]
-        server.stop(drain=False)
-        for future in futures:
-            with pytest.raises(ServingError, match="abandoned"):
-                future.result(timeout=1.0)
-        assert server.metrics.failed == 3
-        assert server.in_flight == 0
-
-    def test_submit_requires_running_server(self):
-        registry, _ = self._registry()
-        server = InferenceServer(registry)
-        with pytest.raises(ServingError, match="not running"):
-            server.submit("demo", random_spikes(1)[0])
-
-    def test_submit_validates_model_and_spikes_before_admission(self):
-        registry, _ = self._registry()
-        with InferenceServer(registry) as server:
-            with pytest.raises(ServingError, match="no model named"):
-                server.submit("missing", random_spikes(1)[0])
-            with pytest.raises(ConfigurationError):
-                server.submit("demo", np.full(64, 0.5))
-            with pytest.raises(ConfigurationError):
-                server.submit("demo", np.zeros(32, dtype=bool))
-        assert server.metrics.submitted == 0
 
     def test_rejects_bad_configuration(self):
         registry, _ = self._registry()
@@ -568,3 +523,19 @@ class TestServeCli:
     def test_rejects_empty_trace(self):
         with pytest.raises(SystemExit):
             serve_main(["--rate", "1", "--duration", "0"])
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "1", "--retries", "2"],
+        ["--workers", "1", "--chaos-flush-p", "0.1"],
+        ["--workers", "1", "--chaos-spike-ms", "5"],
+        ["--workers", "1", "--chaos-spike-p", "0.1"],
+        ["--workers", "1", "--queue-depth", "64"],
+        ["--slo-class", "interactive"],
+    ], ids=lambda flags: flags[-2])
+    def test_rejects_flags_the_chosen_server_ignores(self, flags, capsys):
+        # Each flag would be silently dropped by the server the
+        # --workers count picks; the CLI refuses before building it.
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(["--rate", "10", "--duration", "1", *flags])
+        assert exit_info.value.code == 2
+        assert flags[-2] in capsys.readouterr().err

@@ -279,40 +279,12 @@ class TestFleetConstruction:
         with pytest.raises(ConfigurationError, match="no models"):
             FleetServer(ModelRegistry()).start()
 
-    def test_submit_requires_running_fleet(self):
-        server = fleet()
-        with pytest.raises(ServingError, match="not running"):
-            server.submit("demo", random_spikes(1)[0])
-
-    def test_submit_validates_at_the_edge(self):
-        server = fleet()
-        with pytest.raises(ConfigurationError, match="SLO class"):
-            server.submit("demo", random_spikes(1)[0], slo_class="nope")
-        with pytest.raises(ConfigurationError, match="deadline_ms"):
-            server.submit("demo", random_spikes(1)[0], deadline_ms=0.0)
-        with pytest.raises(ServingError, match="demo2"):
-            server.submit("demo2", random_spikes(1)[0])
-        with pytest.raises(ConfigurationError, match="shape"):
-            server.submit("demo", np.zeros(65, dtype=bool))
-
 
 # -- end-to-end serving ---------------------------------------------------------------
 
 
 @pytest.mark.multiprocess
 class TestFleetServing:
-    def test_serves_bit_identically_to_offline(self):
-        registry = ModelRegistry()
-        network = random_network()
-        registry.register_network("demo", network)
-        spikes = random_spikes(150)
-        with fleet(registry) as server:
-            served = serve_all(server, spikes)
-        assert np.array_equal(served, network.classify_batch(spikes))
-        m = server.metrics
-        assert m.submitted == 150
-        assert m.submitted == m.completed + m.failed + m.shed
-
     def test_classify_convenience(self):
         registry = ModelRegistry()
         network = random_network()
@@ -392,30 +364,6 @@ class TestFleetServing:
             assert len(info["workers"]) == 2
             assert {w["worker_id"] for w in info["workers"]} == {0, 1}
 
-    def test_stop_without_drain_fails_pending_explicitly(self):
-        registry = ModelRegistry()
-        registry.register_network("demo", random_network())
-        server = fleet(
-            registry,
-            policy=BatchPolicy(max_batch_size=64, max_wait_ms=500.0),
-        )
-        server.start()
-        futures = [
-            server.submit("demo", row, slo_class="batch")
-            for row in random_spikes(8)
-        ]
-        server.stop(drain=False)
-        outcomes = set()
-        for future in futures:
-            try:
-                future.result(timeout=10)
-                outcomes.add("completed")
-            except ServingError:
-                outcomes.add("failed")
-        assert outcomes  # every future resolved, none left hanging
-        m = server.metrics
-        assert m.submitted == m.completed + m.failed + m.shed == 8
-
 
 @pytest.mark.multiprocess
 class TestWorkerCountInvariance:
@@ -489,7 +437,7 @@ class TestCrashSupervision:
             first = serve_all(server, spikes[:20])
             victim = server.describe()["workers"][0]
             os.kill(
-                server._workers[victim["worker_id"]].process.pid,
+                server.executor._workers[victim["worker_id"]].process.pid,
                 signal.SIGKILL,
             )
             deadline = time.monotonic() + 30
@@ -518,7 +466,8 @@ class TestCrashSupervision:
         with server:
             served = serve_all(server, spikes[:10])
             victim = sorted(server.live_workers())[0]
-            os.kill(server._workers[victim].process.pid, signal.SIGKILL)
+            os.kill(server.executor._workers[victim].process.pid,
+                    signal.SIGKILL)
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
                 if server.live_workers() == {1 - victim}:

@@ -18,16 +18,12 @@ import pytest
 
 import repro
 from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
     InjectedFaultError,
     ModelUnavailableError,
     QueueFullError,
-    ServingError,
 )
 from repro.resilience import BreakerPolicy, ChaosPolicy, RetryPolicy
 from repro.serve import BatchPolicy, InferenceServer, ModelRegistry
-from repro.serve.server import _Request
 
 from tests.test_serve import FakeClock, random_network, random_spikes
 
@@ -59,52 +55,6 @@ def accounting(metrics) -> tuple[int, int]:
 
 
 class TestDeadlines:
-    def test_rejects_non_positive_deadline(self):
-        _, _, server = make_stack()
-        with server:
-            with pytest.raises(ConfigurationError):
-                server.submit("m", random_spikes(1)[0], deadline_ms=0.0)
-
-    def test_expired_requests_are_shed_before_dispatch(self):
-        # White-box against an injected clock: one request's deadline
-        # expires before the flush, its batchmate's does not.
-        clock = FakeClock()
-        _, _, server = make_stack()
-        server._clock = clock
-        spikes = random_spikes(2)
-        doomed = _Request(model="m", spikes=spikes[0], submitted_at=0.0,
-                          deadline_at=0.5)
-        alive = _Request(model="m", spikes=spikes[1], submitted_at=0.0,
-                         deadline_at=5.0)
-        with server._cond:
-            server._in_flight = 2
-        clock.advance(1.0)
-        server._run_batch("m", [doomed, alive])
-        with pytest.raises(DeadlineExceededError):
-            doomed.future.result(timeout=0)
-        assert alive.future.result(timeout=0) >= 0
-        assert server.metrics.shed == 1
-        assert server.metrics.completed == 1
-        assert server.in_flight == 0
-
-    def test_end_to_end_shedding_is_accounted(self):
-        # A 50 ms coalescing window guarantees the 1 ms deadline is
-        # long gone by flush time — every request is shed, none served.
-        _, _, server = make_stack(max_wait_ms=50.0)
-        spikes = random_spikes(4)
-        with server:
-            futures = [
-                server.submit("m", row, deadline_ms=1.0) for row in spikes
-            ]
-            time.sleep(0.01)
-        for future in futures:
-            with pytest.raises(DeadlineExceededError):
-                future.result(timeout=5.0)
-        data = server.metrics.to_dict()
-        assert data["shed"] == len(spikes)
-        assert data["completed"] == 0
-        assert accounting(server.metrics)[0] == accounting(server.metrics)[1]
-
     def test_undeadlined_requests_never_shed(self):
         _, network, server = make_stack()
         spikes = random_spikes(8)
@@ -218,40 +168,6 @@ class TestCircuitBreaking:
         assert ungated.circuit_state("m") is None
         ungated.record_flush_failure("m")  # no-op without a policy
         ungated.check("m")
-
-
-# -- dispatch-thread crash ------------------------------------------------------------
-
-
-class TestDispatchCrash:
-    # The dispatch thread deliberately re-raises after failing the
-    # pending futures (so real deployments log the crash); pytest
-    # would report that as an unhandled thread exception.
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_crash_fails_pending_and_is_terminal(self, monkeypatch):
-        _, _, server = make_stack()
-
-        def sabotaged(model, requests):
-            raise RuntimeError("dispatch bug")
-
-        monkeypatch.setattr(server, "_run_batch", sabotaged)
-        server.start()
-        future = server.submit("m", random_spikes(1)[0])
-        with pytest.raises(ServingError, match="dispatch thread crashed"):
-            future.result(timeout=10.0)
-        assert server.failed
-        assert not server.running
-        assert server.in_flight == 0
-        # Terminal: further submissions are rejected with the distinct
-        # crashed-state message until the server is restarted.
-        with pytest.raises(ServingError, match="crashed"):
-            server.submit("m", random_spikes(1)[0])
-        data = server.metrics.to_dict()
-        assert data["failed"] == data["submitted"] == 1
-        assert accounting(server.metrics)[0] == accounting(server.metrics)[1]
-        server.stop()  # must not hang or raise
 
 
 # -- backpressure hammer --------------------------------------------------------------
