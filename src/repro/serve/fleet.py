@@ -117,4 +117,5 @@ class FleetServer(ServingCore):
 
     def live_workers(self) -> set[int]:
         """Worker ids still in the routing set (spawned or respawning)."""
-        return self.executor.live_workers()
+        with self._cond:
+            return self.executor.live_lanes()

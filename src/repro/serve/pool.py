@@ -386,7 +386,12 @@ class WorkerPoolExecutor(BatchExecutor):
             self.n_slots, self.core.policy.max_batch_size, max(widths)
         )
         self._ring = SpikeRing(geometry)
+        # A restart after a crash must not inherit the failed run's
+        # flights: their slots and requests belong to the freed ring.
         self._free_slots = list(range(self.n_slots))
+        self._assigned = {}
+        self._draining = set()
+        self._swap_acks = {}
         self._retired_pipes = []
         self._workers = {w: _Worker(w) for w in range(self.n_workers)}
         for worker in self._workers.values():
@@ -536,17 +541,15 @@ class WorkerPoolExecutor(BatchExecutor):
 
     # -- rolling hot-swap -----------------------------------------------------------
 
-    def live_workers(self) -> set[int]:
-        with self._cond:
-            return self.live_lanes()
-
     def rollout(self, name: str) -> tuple:
         """Ship the registry's current weights for ``name`` to every live
         worker, draining one replica at a time; returns their versions."""
         payload = ModelPayload.from_network(
             name, self.core.registry.get(name)
         )
-        for worker_id in sorted(self.live_workers()):
+        with self._cond:
+            worker_ids = sorted(self.live_lanes())
+        for worker_id in worker_ids:
             with self._cond:
                 worker = self._workers[worker_id]
                 if worker.removed:

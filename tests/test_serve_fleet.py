@@ -25,6 +25,7 @@ from repro.errors import (
     QueueFullError,
     ServingError,
 )
+from repro.obs.trace import Tracer
 from repro.resilience import SupervisorPolicy
 from repro.serve import (
     DEFAULT_SLO_CLASSES,
@@ -481,6 +482,70 @@ class TestCrashSupervision:
         assert np.array_equal(rest, network.classify_batch(spikes[10:]))
         m = server.metrics
         assert m.submitted == m.completed + m.failed + m.shed == 40
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_restart_forgets_the_crashed_runs_flights(self):
+        # The collector dies with three batches still in flight; their
+        # records belong to the freed ring and must not survive the
+        # restart: a stale flight would keep its replica busy (a
+        # rollout then times out) and a later crash of that replica
+        # would free its slot a second time.
+        registry = ModelRegistry()
+        network = random_network()
+        registry.register_network("demo", network)
+        n_slots = 4
+
+        class CollectorKiller(Tracer):
+            """Raises on the first fleet.flush, once 3 batches trail it."""
+
+            fired = False
+
+            def record(self, name, start_s, end_s, **attrs):
+                if name == "fleet.flush" and not self.fired:
+                    self.fired = True
+                    deadline = time.monotonic() + 10
+                    while (len(server.executor._assigned) < 3
+                           and time.monotonic() < deadline):
+                        time.sleep(0.005)
+                    raise RuntimeError("tracer failed on fleet.flush")
+                super().record(name, start_s, end_s, **attrs)
+
+        server = fleet(
+            registry, n_workers=1, n_slots=n_slots,
+            policy=BatchPolicy(max_batch_size=1, max_wait_ms=1.0),
+            tracer=CollectorKiller(),
+        )
+        spikes = random_spikes(8)
+        server.start()
+        try:
+            doomed = [server.submit("demo", row) for row in spikes[:4]]
+            for future in doomed:
+                with pytest.raises(ServingError, match="collector"):
+                    future.result(timeout=30.0)
+            assert server.failed
+            server.start()
+            assert server.push_weights("demo") == tuple(
+                t.weight_version for t in network.tiles
+            )
+            os.kill(server.executor._workers[0].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                info = server.describe()["workers"][0]
+                if info["respawns"] == 1 and info["ready"]:
+                    break
+                time.sleep(0.02)
+            else:
+                pytest.fail("worker was not respawned")
+            assert sorted(server.executor._free_slots) == list(range(n_slots))
+            served = serve_all(server, spikes[4:], slo_class="default")
+        finally:
+            server.stop()
+        assert np.array_equal(served, network.classify_batch(spikes[4:]))
+        m = server.metrics
+        assert m.submitted == m.completed + m.failed + m.shed == 8
+        assert server.in_flight == 0
 
     def test_fleet_metrics_label_replicas(self):
         metrics = ServingMetrics()
